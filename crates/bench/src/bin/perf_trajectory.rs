@@ -6,7 +6,8 @@
 //!
 //! * `BENCH_kernels.json` — single-core GEMM / dot / axpy throughput for the
 //!   dispatched (SIMD) and scalar-pinned reference paths, plus their ratio
-//!   (the dispatch speedup), at evaluator panel shapes.
+//!   (the dispatch speedup), at evaluator panel shapes; GEMM throughput at
+//!   the narrow L2L shapes and the call latency of an 8x4x8 GEMM.
 //! * `BENCH_serving.json` — compression, evaluator setup, apply latency and
 //!   cached-panel footprint for native and mixed (`f32`-storage) serving,
 //!   plus the paper-suite metrics: fig4-style apply scaling (threads 1 vs
@@ -67,6 +68,16 @@ fn time_best<F: FnMut()>(mut f: F) -> f64 {
         }
     }
     best
+}
+
+/// Best-of-reps seconds per dispatched `m x n x k` f64 GEMM call.
+fn time_gemm(m: usize, n: usize, k: usize, rng: &mut StdRng) -> f64 {
+    let a = DenseMatrix::<f64>::random_uniform(m, k, rng);
+    let b = DenseMatrix::<f64>::random_uniform(k, n, rng);
+    let mut c = DenseMatrix::<f64>::zeros(m, n);
+    time_best(|| {
+        gemm(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c);
+    })
 }
 
 fn gemm_pair(m: usize, n: usize, k: usize, rng: &mut StdRng) -> (f64, f64, f64) {
@@ -144,6 +155,22 @@ fn measure_kernels() -> Vec<Measurement> {
     out.push(Measurement::higher(
         "gemm_f32_square_256_simd_speedup",
         simd / scalar,
+    ));
+
+    // The evaluator's narrow shapes: one leaf's L2L against its near list
+    // for the 1- and 4-column right-hand sides that serving and PCG issue,
+    // and a 16-column batch. The 8x4x8 row is the per-call latency of a
+    // GEMM too small to amortize any fixed cost.
+    for (n, k) in [(1, 850), (4, 850), (16, 1000)] {
+        let t = time_gemm(128, n, k, &mut rng);
+        out.push(Measurement::higher(
+            &format!("gemm_f64_l2l_128x{n}x{k}_gflops"),
+            2.0 * 128.0 * n as f64 * k as f64 / t / 1e9,
+        ));
+    }
+    out.push(Measurement::lower(
+        "gemm_f64_8x4x8_call_us",
+        1e6 * time_gemm(8, 4, 8, &mut rng),
     ));
 
     // Vector kernels at a ULV sweep length.

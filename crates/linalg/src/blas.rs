@@ -1,19 +1,38 @@
 //! BLAS-like dense kernels: GEMM, GEMV, dot products and norm estimates.
 //!
 //! These are the work-horses behind skeletonization (`GEQP3`/`TRSM` call into
-//! them) and behind the N2S/S2S/S2N/L2L evaluation tasks. The GEMM is a
-//! BLIS-style packed, cache-blocked kernel: operands are copied into
-//! contiguous `MR`/`NR` strips with row/column **slice** copies (no
-//! per-element bounds checks), then multiplied by the register micro-kernel
-//! dispatched through [`Scalar::gemm_microkernel`] — AVX2/FMA on x86-64,
-//! a portable scalar loop elsewhere (see [`crate::simd`]). Both paths
-//! accumulate each output element over `k` in the same order, so GEMM
-//! results are bit-identical across dispatch paths.
+//! them), the N2S/S2S/S2N/L2L evaluation tasks and the ULV sweeps. The GEMM
+//! has two paths:
+//!
+//! * **Packed.** A BLIS-style cache-blocked kernel: operands are copied into
+//!   contiguous `MR`/`NR` strips with row/column **slice** copies (no
+//!   per-element bounds checks), then multiplied by the register
+//!   micro-kernel dispatched through [`Scalar::gemm_microkernel`] — AVX2/FMA
+//!   on x86-64, a portable scalar loop elsewhere (see [`crate::simd`]). The
+//!   pack buffers are sized to the call (strip stride `min(KC, k)`, only the
+//!   strips the call needs) and come from a per-thread arena
+//!   ([`Scalar::with_gemm_arena`]) that only grows. It is never zero-filled:
+//!   packing writes every element it later reads, padding included. So a
+//!   repeated call allocates nothing.
+//! * **Narrow.** With `A` untransposed and fewer than `NR` right-hand sides,
+//!   packing would copy all of `A` and pad `B` to `NR` columns for at most
+//!   `NR - 1` useful ones. Instead, for each block of up to `MC` rows and
+//!   `KC` inner indices, it zeroes an arena accumulator, streams each column
+//!   of `A` once through the dispatched axpy into every accumulator column,
+//!   and folds the block into `C`.
+//!
+//! Both paths, on both dispatch levels, accumulate each output element over
+//! a `KC` block in increasing `k` with one fma per step from a zero start,
+//! then fold it in as `c = fma(alpha, acc, c)`. GEMM results are therefore
+//! bit-identical across paths and dispatch levels. A transposed `A` stays
+//! packed: reading its rows in place would need the dot kernel, whose split
+//! lanes change the bits.
 //!
 //! [`gemm_mixed`] is the mixed-precision variant the serving layer uses for
-//! `f32`-stored interaction panels: the pack step upconverts the panel to the
-//! accumulator precision `T`, so all arithmetic runs in `T` (f64 accumulation
-//! over f32 storage) through the very same micro-kernel.
+//! `f32`-stored interaction panels: packing (or, on the narrow path, a
+//! per-column copy into the arena) upconverts the panel to the accumulator
+//! precision `T`, so all arithmetic runs in `T` (f64 accumulation over f32
+//! storage) through the very same kernels.
 //!
 //! The pre-SIMD scalar kernels are retained verbatim under [`mod@reference`] as
 //! the comparison baseline for the kernel-equivalence suite and the bench
@@ -22,6 +41,7 @@
 use crate::matrix::DenseMatrix;
 use crate::scalar::Scalar;
 use crate::simd;
+use std::any::Any;
 
 /// Whether an operand of [`gemm`] is used as-is or transposed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,10 +68,11 @@ fn up<P: Scalar, T: Scalar>(x: P) -> T {
 
 /// General matrix-matrix multiply: `C = alpha * op_a(A) * op_b(B) + beta * C`.
 ///
-/// Dimensions are checked at runtime; the operands are packed into
-/// cache-friendly panels and multiplied with the runtime-dispatched
-/// `MR x NR` micro-kernel. Results are bit-identical between the SIMD and
-/// scalar dispatch paths (see [`crate::simd`] for why).
+/// Dimensions are checked at runtime. Narrow right-hand sides run unpacked;
+/// everything else is packed into cache-friendly panels and multiplied with
+/// the runtime-dispatched `MR x NR` micro-kernel (see the module docs).
+/// Results are bit-identical between the SIMD and scalar dispatch paths
+/// (see [`crate::simd`] for why).
 pub fn gemm<T: Scalar>(
     alpha: T,
     a: &DenseMatrix<T>,
@@ -69,10 +90,10 @@ pub fn gemm<T: Scalar>(
 /// arithmetic accumulates in `T`.
 ///
 /// This is the serving-layer kernel for `f32`-stored far-field panels: the
-/// pack step upconverts `A` losslessly to `T`, after which the standard
-/// `T` micro-kernel runs — i.e. f32 storage, f64 accumulation when
-/// `T = f64`. Only the no-transpose form is provided because the evaluator
-/// multiplies its panels untransposed.
+/// pack step (or the narrow path's column copy) upconverts `A` losslessly
+/// to `T`, after which the standard `T` kernels run — i.e. f32 storage, f64
+/// accumulation when `T = f64`. Only the no-transpose form is provided
+/// because the evaluator multiplies its panels untransposed.
 pub fn gemm_mixed<T: Scalar>(
     alpha: T,
     a: &DenseMatrix<T::PanelScalar>,
@@ -83,10 +104,10 @@ pub fn gemm_mixed<T: Scalar>(
     gemm_core(alpha, a, Transpose::No, b, Transpose::No, beta, c, false);
 }
 
-/// The shared packed GEMM behind [`gemm`], [`gemm_mixed`] and
-/// [`reference::gemm`]. `P` is the storage precision of `A` (equal to `T`
-/// except for mixed panels); `force_scalar` pins the scalar micro-kernel for
-/// the retained reference path.
+/// The shared GEMM behind [`gemm`], [`gemm_mixed`] and [`reference::gemm`].
+/// `P` is the storage precision of `A` (equal to `T` except for mixed
+/// panels); `force_scalar` pins the packed path and the scalar micro-kernel
+/// for the retained reference path.
 #[allow(clippy::too_many_arguments)]
 fn gemm_core<P: Scalar, T: Scalar>(
     alpha: T,
@@ -127,19 +148,116 @@ fn gemm_core<P: Scalar, T: Scalar>(
         return;
     }
 
+    T::with_gemm_arena(|arena| {
+        if op_a == Transpose::No && n < T::NR && !force_scalar {
+            gemm_narrow(alpha, a, b, op_b, c, arena);
+        } else {
+            gemm_packed(alpha, a, op_a, b, op_b, c, force_scalar, arena);
+        }
+    });
+}
+
+/// The first `len` elements of a GEMM arena, growing it if needed. The
+/// contents are stale: callers write every element before they read it.
+fn arena_prefix<T: Scalar>(arena: &mut Vec<T>, len: usize) -> &mut [T] {
+    if arena.len() < len {
+        arena.resize(len, T::zero());
+    }
+    &mut arena[..len]
+}
+
+/// Unpacked `C += alpha * A * op_b(B)` for fewer than `T::NR` columns.
+///
+/// Packing would copy all of `A` and pad `B` to a full `NR`-column strip for
+/// at most `NR - 1` useful columns. Instead, per row block and `KC` block,
+/// an accumulator is zeroed, each column `p` of `A` is streamed once and
+/// axpy'd into every accumulator column with weight `B(p, j)`, and the block
+/// is folded in as `c[:, j] = fma(alpha, acc[:, j], c[:, j])`. That is the
+/// packed path's per-element fma order, so the two paths agree bit for bit.
+fn gemm_narrow<P: Scalar, T: Scalar>(
+    alpha: T,
+    a: &DenseMatrix<P>,
+    b: &DenseMatrix<T>,
+    op_b: Transpose,
+    c: &mut DenseMatrix<T>,
+    arena: &mut Vec<T>,
+) {
+    let (m, k, n) = (a.rows(), a.cols(), c.cols());
+    // Rows go in blocks of at most `MC`, which bounds the arena at
+    // `MC * n` accumulator elements whatever `m` is.
+    let mc = MC.min(m);
+    // `A` stored in the accumulator precision is read in place; a mixed
+    // panel is upconverted one column at a time into the arena.
+    let a_native = (a as &dyn Any).downcast_ref::<DenseMatrix<T>>();
+    let up_len = if a_native.is_some() { 0 } else { mc };
+    let (acc, a_up) = arena_prefix(arena, mc * n + up_len).split_at_mut(mc * n);
+    let b_at = |p: usize, j: usize| match op_b {
+        Transpose::No => b.col(j)[p],
+        Transpose::Yes => b.col(p)[j],
+    };
+    let mut ic = 0;
+    while ic < m {
+        let mb = mc.min(m - ic);
+        let acc = &mut acc[..mb * n];
+        let a_up = &mut a_up[..up_len.min(mb)];
+        let mut pc = 0;
+        while pc < k {
+            let kb = KC.min(k - pc);
+            acc.fill(T::zero());
+            for p in pc..pc + kb {
+                let a_col: &[T] = match a_native {
+                    Some(a) => &a.col(p)[ic..ic + mb],
+                    None => {
+                        for (d, s) in a_up.iter_mut().zip(&a.col(p)[ic..ic + mb]) {
+                            *d = up(*s);
+                        }
+                        a_up
+                    }
+                };
+                for (j, acc_col) in acc.chunks_exact_mut(mb).enumerate() {
+                    T::axpy_kernel(b_at(p, j), a_col, acc_col);
+                }
+            }
+            for (j, acc_col) in acc.chunks_exact(mb).enumerate() {
+                T::axpy_kernel(alpha, acc_col, &mut c.col_mut(j)[ic..ic + mb]);
+            }
+            pc += kb;
+        }
+        ic += mb;
+    }
+}
+
+/// Packed, cache-blocked `C += alpha * op_a(A) * op_b(B)` over `MR x NR`
+/// micro-tiles. The pack buffers come from `arena`, sized to the call: the
+/// strip stride is `min(KC, k)` and only the strips the call needs exist.
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed<P: Scalar, T: Scalar>(
+    alpha: T,
+    a: &DenseMatrix<P>,
+    op_a: Transpose,
+    b: &DenseMatrix<T>,
+    op_b: Transpose,
+    c: &mut DenseMatrix<T>,
+    force_scalar: bool,
+    arena: &mut Vec<T>,
+) {
+    let (m, n) = (c.rows(), c.cols());
+    let k = match op_b {
+        Transpose::No => b.rows(),
+        Transpose::Yes => b.cols(),
+    };
     let mr = T::MR;
     let nr = T::NR;
     debug_assert!(MC % mr == 0, "MC must be a multiple of MR");
     debug_assert!(mr * nr <= simd::ACC_TILE);
 
-    // Packed panels reused across blocks. A is packed in `mr`-row strips
-    // (`a_pack[strip][p*mr + r]`), B in `nr`-column strips
-    // (`b_pack[strip][p*nr + c]`), both zero-padded to full strip width so
-    // the micro-kernel always runs complete tiles.
-    // 256 KiB: far too large for the stack, so not the array clippy suggests.
-    #[allow(clippy::useless_vec)]
-    let mut a_pack = vec![T::zero(); MC * KC];
-    let mut b_pack = vec![T::zero(); NC.div_ceil(nr) * nr * KC];
+    // A is packed in `mr`-row strips (`a_pack[strip][p*mr + r]`), B in
+    // `nr`-column strips (`b_pack[strip][p*nr + c]`), both zero-padded to
+    // full strip width so the micro-kernel always runs complete tiles.
+    let kc = KC.min(k);
+    let a_len = MC.min(m).div_ceil(mr) * mr * kc;
+    let b_len = NC.min(n).div_ceil(nr) * nr * kc;
+    let (a_pack, b_pack) = arena_prefix(arena, a_len + b_len).split_at_mut(a_len);
     let mut acc = [T::zero(); simd::ACC_TILE];
     let acc = &mut acc[..mr * nr];
 
@@ -148,12 +266,12 @@ fn gemm_core<P: Scalar, T: Scalar>(
         let nb = NC.min(n - jc);
         let mut pc = 0;
         while pc < k {
-            let kb_ = KC.min(k - pc);
+            let kb_ = kc.min(k - pc);
             // Pack B panel with contiguous column-slice reads.
             for jstrip in 0..nb.div_ceil(nr) {
                 let j0 = jstrip * nr;
                 let cmax = nr.min(nb - j0);
-                let dst = &mut b_pack[jstrip * (KC * nr)..jstrip * (KC * nr) + kb_ * nr];
+                let dst = &mut b_pack[jstrip * kc * nr..][..kb_ * nr];
                 match op_b {
                     Transpose::No => {
                         for cc in 0..nr {
@@ -191,7 +309,7 @@ fn gemm_core<P: Scalar, T: Scalar>(
                 for istrip in 0..mb.div_ceil(mr) {
                     let i0 = istrip * mr;
                     let rmax = mr.min(mb - i0);
-                    let dst = &mut a_pack[istrip * (KC * mr)..istrip * (KC * mr) + kb_ * mr];
+                    let dst = &mut a_pack[istrip * kc * mr..][..kb_ * mr];
                     match op_a {
                         Transpose::No => {
                             for p in 0..kb_ {
@@ -227,11 +345,11 @@ fn gemm_core<P: Scalar, T: Scalar>(
                 for jstrip in 0..nb.div_ceil(nr) {
                     let j0 = jstrip * nr;
                     let cmax = nr.min(nb - j0);
-                    let b_strip = &b_pack[jstrip * (KC * nr)..jstrip * (KC * nr) + kb_ * nr];
+                    let b_strip = &b_pack[jstrip * kc * nr..][..kb_ * nr];
                     for istrip in 0..mb.div_ceil(mr) {
                         let i0 = istrip * mr;
                         let rmax = mr.min(mb - i0);
-                        let a_strip = &a_pack[istrip * (KC * mr)..istrip * (KC * mr) + kb_ * mr];
+                        let a_strip = &a_pack[istrip * kc * mr..][..kb_ * mr];
                         if force_scalar {
                             simd::microkernel_scalar(mr, nr, kb_, a_strip, b_strip, acc);
                         } else {
@@ -404,8 +522,9 @@ pub mod reference {
     use super::{DenseMatrix, Scalar, Transpose};
     use crate::simd;
 
-    /// Scalar-pinned GEMM: bit-identical to [`super::gemm`] by construction
-    /// (same packing, same per-element accumulation order).
+    /// Scalar-pinned GEMM that always takes the packed path: bit-identical
+    /// to [`super::gemm`] by construction (same per-element accumulation
+    /// order), so it also checks the narrow path against the packed one.
     pub fn gemm<T: Scalar>(
         alpha: T,
         a: &DenseMatrix<T>,

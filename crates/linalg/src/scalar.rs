@@ -90,6 +90,14 @@ pub trait Scalar:
     /// Runtime-dispatched axpy `y[i] = fma(alpha, x[i], y[i])` (bit-identical
     /// to the scalar loop on every dispatch path).
     fn axpy_kernel(alpha: Self, x: &[Self], y: &mut [Self]);
+
+    /// Run `f` on this thread's GEMM scratch arena of this precision.
+    ///
+    /// The arena holds the pack buffers and narrow-path accumulators of
+    /// [`crate::blas::gemm`]. It only grows and is never cleared: the GEMM
+    /// writes every element it later reads. `f` must not call back into
+    /// `with_gemm_arena` of the same precision.
+    fn with_gemm_arena<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
 }
 
 macro_rules! impl_scalar {
@@ -175,6 +183,13 @@ macro_rules! impl_scalar {
             #[inline(always)]
             fn axpy_kernel(alpha: Self, x: &[Self], y: &mut [Self]) {
                 $axpy(alpha, x, y)
+            }
+            fn with_gemm_arena<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
+                thread_local! {
+                    static ARENA: std::cell::RefCell<Vec<$t>> =
+                        const { std::cell::RefCell::new(Vec::new()) };
+                }
+                ARENA.with(|arena| f(&mut arena.borrow_mut()))
             }
         }
     };

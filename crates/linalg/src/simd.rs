@@ -1,9 +1,11 @@
 //! Runtime-dispatched SIMD micro-kernels behind the dense BLAS layer.
 //!
-//! The packed GEMM in [`crate::blas`], the triangular solves and the
-//! Householder reflection applies all bottom out in three primitives: an
-//! `MR x NR` register micro-kernel over packed panels, a dot product and an
-//! axpy. This module provides two implementations of each:
+//! The GEMM in [`crate::blas`], the triangular solves and the Householder
+//! reflection applies all bottom out in three primitives: an `MR x NR`
+//! register micro-kernel over packed panels, a dot product and an axpy.
+//! The packed GEMM path runs the micro-kernel; its narrow path (fewer than
+//! `NR` right-hand sides) runs the axpy. This module provides two
+//! implementations of each:
 //!
 //! * an x86-64 AVX2/FMA path written against `core::arch` intrinsics
 //!   (`8 x 6` tiles of f64, `16 x 6` tiles of f32 — twelve ymm accumulators,
@@ -22,9 +24,13 @@
 //! The GEMM micro-kernel accumulates every output element over `k` in
 //! increasing order with one fused multiply-add per step; AVX2 lanes map
 //! one-to-one onto output elements (`vfmaddxxxpd` is a per-lane IEEE fma), so
-//! the SIMD and scalar micro-kernels — and therefore [`crate::blas::gemm`] on
-//! either dispatch path — produce **bit-identical** results. The same holds
-//! for [`crate::blas::axpy`], which is element-wise. [`crate::blas::dot`]
+//! the SIMD and scalar micro-kernels produce **bit-identical** results. The
+//! same holds for [`crate::blas::axpy`], which is element-wise. The narrow
+//! GEMM path zeroes an accumulator and axpys the columns of `A` into it in
+//! increasing `k`, which is the micro-kernel's per-element order (an fma's
+//! product is exact, so the operand order inside it does not matter);
+//! [`crate::blas::gemm`] is therefore bit-identical on either dispatch path
+//! and on either GEMM path. [`crate::blas::dot`]
 //! splits its accumulation
 //! across vector lanes and recombines, so its SIMD result may differ from
 //! the scalar one in the last bits (the kernel-equivalence suite bounds the

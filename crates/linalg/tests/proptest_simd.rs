@@ -15,6 +15,9 @@
 //! * `gemm_mixed` (f32 storage, f64 accumulation) is bit-identical to a
 //!   full-precision GEMM over the *rounded* panel, and tracks the unrounded
 //!   product to single-precision accuracy.
+//! * Narrow right-hand sides (`n < NR`, `A` untransposed) take the unpacked
+//!   GEMM path while the reference always packs, so every narrow case here
+//!   also checks the two paths against each other bit for bit.
 //!
 //! Run with `GOFMM_FORCE_SCALAR=1` to pin the portable path (CI does); the
 //! suite then checks the scalar kernels against themselves, which keeps the
@@ -134,6 +137,26 @@ proptest! {
         prop_assert_eq!(c_simd.data(), c_ref.data());
     }
 
+    /// An f32 narrow product whose inner dimension crosses a `KC = 256`
+    /// block (and whose rows may span several `MC = 128` row blocks): the
+    /// unpacked path must restart its accumulator at the block edge exactly
+    /// where the packed reference does.
+    #[test]
+    fn gemm_narrow_f32_identity_survives_kc_blocks(
+        m in 1usize..300, n in 1usize..6, k in 257usize..600,
+        op_b in arb_transpose(), seed in 0u64..1000,
+    ) {
+        let (a, b, c0) = gemm_operands(m, n, k, Transpose::No, op_b, seed);
+        let a = a.cast::<f32>();
+        let b = b.cast::<f32>();
+        let c0 = c0.cast::<f32>();
+        let mut c_narrow = c0.clone();
+        let mut c_ref = c0;
+        gemm(0.75f32, &a, Transpose::No, &b, op_b, -0.5f32, &mut c_narrow);
+        reference::gemm(0.75f32, &a, Transpose::No, &b, op_b, -0.5f32, &mut c_ref);
+        prop_assert_eq!(c_narrow.data(), c_ref.data());
+    }
+
     /// AXPY is element-wise fma in every path: bit-identical.
     #[test]
     fn axpy_dispatch_is_bit_identical(
@@ -227,6 +250,24 @@ proptest! {
         gemm_mixed(1.0f64, &a32, &b, 1.0f64, &mut c_mixed);
         gemm(1.0, &a_rounded, Transpose::No, &b, Transpose::No, 1.0, &mut c_full);
         prop_assert_eq!(c_mixed.data(), c_full.data());
+    }
+
+    /// Narrow `gemm_mixed` upconverts `A` one column at a time on the
+    /// unpacked path; it must equal, bit for bit, the packed scalar
+    /// reference over the upcast panel, within and across `KC` and `MC`
+    /// blocks.
+    #[test]
+    fn gemm_mixed_narrow_is_reference_over_upcast_panel(
+        m in 1usize..300, n in 1usize..6, k in 1usize..600,
+        alpha in -2.0f64..2.0, seed in 0u64..1000,
+    ) {
+        let (a, b, c0) = gemm_operands(m, n, k, Transpose::No, Transpose::No, seed);
+        let a32 = a.cast::<f32>();
+        let mut c_mixed = c0.clone();
+        let mut c_ref = c0;
+        gemm_mixed(alpha, &a32, &b, 1.0f64, &mut c_mixed);
+        reference::gemm(alpha, &a32.cast::<f64>(), Transpose::No, &b, Transpose::No, 1.0, &mut c_ref);
+        prop_assert_eq!(c_mixed.data(), c_ref.data());
     }
 
     /// And against the *unrounded* panel the error is bounded by the f32

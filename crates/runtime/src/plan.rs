@@ -312,6 +312,7 @@ impl ReusablePlan {
         trace: Option<&TraceSink>,
         task: impl Fn(Family, usize) + Sync,
     ) -> Result<ExecStats, Cancelled> {
+        open_sequential_lane(trace, policy);
         let stats = self.run_indexed_with_cancel(policy, workers, cancel, |idx| {
             let (family, node) = self.keys[idx];
             match trace {
@@ -362,6 +363,16 @@ impl ReusablePlan {
             cancel,
             run,
         )
+    }
+}
+
+/// Open the calling thread's trace lane before a sequential run, which
+/// executes every task on this thread; otherwise the lane's first chunk is
+/// allocated between the first two task spans. Parallel runs execute on
+/// spawned workers, so the calling thread gets no lane it would not use.
+fn open_sequential_lane(trace: Option<&TraceSink>, policy: SchedulePolicy) {
+    if let (Some(sink), SchedulePolicy::Sequential) = (trace, policy) {
+        sink.open_lane();
     }
 }
 
@@ -503,6 +514,7 @@ impl<'a> PhasePlan<'a> {
     ) -> ExecStats {
         let PhasePlan { shape, funcs } = self;
         let slots: Vec<crate::executor::TaskSlot<'a>> = funcs.into_iter().map(Mutex::new).collect();
+        open_sequential_lane(trace, policy);
         shape.run_indexed(policy, workers, |idx| match trace {
             None => crate::executor::take_and_run(&slots, idx),
             Some(sink) => {

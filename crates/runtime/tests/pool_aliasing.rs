@@ -70,9 +70,11 @@ proptest! {
                         lease.stamp = stamp;
                         std::thread::yield_now();
                         assert_eq!(lease.stamp, stamp, "workspace data raced");
-                        let id = lease.id;
+                        // Leave the in-flight set before the workspace goes
+                        // back on the shelf: another thread may lease it the
+                        // moment it is returned.
+                        assert!(in_flight.lock().unwrap().remove(&lease.id));
                         drop(lease); // returns to the shelf
-                        assert!(in_flight.lock().unwrap().remove(&id));
                     }
                 });
             }

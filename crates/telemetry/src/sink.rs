@@ -247,22 +247,7 @@ impl TraceSink {
     ) {
         LANES.with(|lanes| {
             let mut lanes = lanes.borrow_mut();
-            let pos = match lanes.iter().position(|l| l.sink_id == self.inner.id) {
-                Some(p) => p,
-                None => {
-                    if lanes.len() >= MAX_LANES {
-                        lanes.remove(0);
-                    }
-                    let worker = self.inner.next_worker.fetch_add(1, Ordering::Relaxed);
-                    let chunk = self.register_chunk();
-                    lanes.push(Lane {
-                        sink_id: self.inner.id,
-                        worker,
-                        chunk,
-                    });
-                    lanes.len() - 1
-                }
-            };
+            let pos = self.lane_in(&mut lanes);
             let lane = &mut lanes[pos];
             let ev = SpanEvent {
                 kind,
@@ -279,6 +264,37 @@ impl TraceSink {
                 debug_assert!(pushed, "a fresh chunk cannot be full");
             }
         });
+    }
+
+    /// Open this thread's lane into the sink now, if it has none yet.
+    ///
+    /// A thread's first [`TraceSink::record`] allocates its lane's first
+    /// chunk. Runners call this before they time any task body, so that
+    /// allocation lands before the traced work instead of between its
+    /// first two task spans, where it would read as scheduling overhead.
+    pub fn open_lane(&self) {
+        LANES.with(|lanes| {
+            self.lane_in(&mut lanes.borrow_mut());
+        });
+    }
+
+    /// Index of this thread's lane for this sink, opening the lane (and
+    /// allocating its first chunk) on the thread's first use of the sink.
+    fn lane_in(&self, lanes: &mut Vec<Lane>) -> usize {
+        if let Some(p) = lanes.iter().position(|l| l.sink_id == self.inner.id) {
+            return p;
+        }
+        if lanes.len() >= MAX_LANES {
+            lanes.remove(0);
+        }
+        let worker = self.inner.next_worker.fetch_add(1, Ordering::Relaxed);
+        let chunk = self.register_chunk();
+        lanes.push(Lane {
+            sink_id: self.inner.id,
+            worker,
+            chunk,
+        });
+        lanes.len() - 1
     }
 
     fn register_chunk(&self) -> Arc<Chunk> {
